@@ -7,22 +7,20 @@ scatter outputs back to the caller's order), guaranteed ``no_grad``
 execution, and an :class:`~repro.engine.stats.EngineStats` record for
 the efficiency experiments.
 
-Three memo levels exploit the redundancy of blocking-shaped workloads,
+Two memo levels exploit the redundancy of blocking-shaped workloads,
 where the same record appears in many candidate pairs:
 
-- serialized-record tokenizations are cached by content digest for any
-  model (wordpiece tokenization is the dominant encode cost);
-- for *decomposable* encoders — those marked ``position_independent``,
-  whose per-token outputs do not depend on surrounding tokens (e.g.
-  :class:`~repro.fasttext.model.FastTextEncoder`) — per-record encoder
-  activations are cached and stitched into full sequences, skipping the
-  encoder forward entirely on hits;
-- for *late-interaction* models — those marked ``late_interaction``,
-  which encode each record independently and run only a cheap pairwise
-  head at pair time (e.g. :class:`~repro.models.emba_dual.EmbaDual`) —
-  per-record encoder outputs are cached so a record appearing in many
-  candidate pairs pays for exactly one encoder forward, turning
-  O(pairs) forwards into O(records) + the pairwise head.
+- *token*: serialized-record tokenizations are cached by content digest
+  for any model (wordpiece tokenization is the dominant encode cost);
+- *record*: for *late-interaction* models — those whose
+  ``late_interaction`` flag is set, which encode each record
+  independently and run only a cheap pairwise head at pair time (e.g.
+  :class:`~repro.models.emba_dual.EmbaDual`, or
+  :class:`~repro.models.emba.Emba` over the position-independent
+  fastText encoder) — per-record encoder outputs are cached so a record
+  appearing in many candidate pairs pays for exactly one encoder
+  forward, turning O(pairs) forwards into O(records) + the pairwise
+  head.
 
 Every cache key is namespaced by an encoder identity fingerprint (see
 :mod:`repro.engine.memo`), so engines sharing a cache — e.g. the stages
@@ -41,7 +39,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.bert.model import BertOutput
 from repro.data.loader import (
     Batch,
     EncodedPair,
@@ -61,7 +58,6 @@ from repro.engine.memo import (
 from repro.engine.stats import EngineStats
 from repro import obs
 from repro.runs import store as runstore
-from repro.nn.module import Module
 from repro.nn.tensor import Tensor, no_grad
 
 if TYPE_CHECKING:  # models import nothing from the engine; keep it that way
@@ -76,23 +72,9 @@ class EngineConfig:
     max_pad_waste: float = 0.25       # bucket cut threshold (fraction padded)
     threshold: float = 0.5            # match decision boundary for em_pred
     encode_cache_size: int = 8192     # record-token LRU entries
-    encoder_cache_size: int = 2048    # span encoder-output LRU entries
     record_cache_size: int = 4096     # record encoder-output LRU entries
-    memoize_encoder: bool = True      # use the encoder memo when decomposable
-    memoize_records: bool = True      # use the record memo when late-interaction
     quarantine: bool = True           # bisect failing batches, isolate poison
     quarantine_score: float = 0.0     # em_prob assigned to quarantined pairs
-
-
-class _PrecomputedEncoder(Module):
-    """Stand-in encoder returning one prepared output (memo-hit path)."""
-
-    def __init__(self, output: BertOutput):
-        super().__init__()
-        self._output = output
-
-    def forward(self, *args, **kwargs) -> BertOutput:
-        return self._output
 
 
 class InferenceEngine:
@@ -116,7 +98,6 @@ class InferenceEngine:
         self.encoder = encoder
         self.config = config or EngineConfig()
         self._token_cache = LRUCache(self.config.encode_cache_size)
-        self._output_cache = LRUCache(self.config.encoder_cache_size)
         self._record_cache = LRUCache(self.config.record_cache_size)
         self._memo_by_encoder: dict[str, dict[str, dict[str, int]]] = {}
         # Identity fingerprints namespacing every cache key; computed
@@ -145,8 +126,6 @@ class InferenceEngine:
             real_tokens=self._real_tokens,
             encode_hits=self._token_cache.hits,
             encode_misses=self._token_cache.misses,
-            encoder_hits=self._output_cache.hits,
-            encoder_misses=self._output_cache.misses,
             record_hits=self._record_cache.hits,
             record_misses=self._record_cache.misses,
             wall_seconds=self._wall_seconds,
@@ -176,7 +155,6 @@ class InferenceEngine:
         self._quarantined = 0
         self._quarantine_log = []
         self._token_cache.hits = self._token_cache.misses = 0
-        self._output_cache.hits = self._output_cache.misses = 0
         self._record_cache.hits = self._record_cache.misses = 0
         self._memo_by_encoder = {}
 
@@ -306,7 +284,6 @@ class InferenceEngine:
         stats = self.stats
         obs.gauge("engine.pad_waste_ratio", stats.pad_waste_ratio)
         obs.gauge("engine.encode_hit_rate", stats.encode_hit_rate)
-        obs.gauge("engine.encoder_hit_rate", stats.encoder_hit_rate)
         obs.gauge("engine.record_hit_rate", stats.record_hit_rate)
         obs.gauge("engine.pairs_per_second", stats.pairs_per_second)
         obs.gauge("engine.batches", stats.batches)
@@ -324,12 +301,11 @@ class InferenceEngine:
         errors (including ``REPRO_VERIFY`` invariant violations) are
         harness bugs, not data poison, and always propagate.
         """
-        chunk = [encoded[i] for i in index]
-        batch = collate(chunk)
+        batch = collate([encoded[i] for i in index])
         try:
             with obs.span("engine.forward", rows=len(index),
                           max_len=batch.input_ids.shape[1]):
-                output = self._forward(batch, chunk)
+                output = self._forward(batch)
         except AssertionError:
             raise
         except Exception as exc:
@@ -433,37 +409,10 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Forward (record-level encoder-output memoization)
     # ------------------------------------------------------------------
-    def _memoizable_encoder(self) -> Module | None:
-        encoder = getattr(self.model, "encoder", None)
-        if (self.config.memoize_encoder and encoder is not None
-                and getattr(encoder, "position_independent", False)
-                and callable(getattr(encoder, "pool", None))):
-            return encoder
-        return None
-
-    def _late_interaction_model(self):
-        model = self.model
-        if (self.config.memoize_records
-                and getattr(model, "late_interaction", False)
-                and callable(getattr(model, "record_rows", None))
-                and callable(getattr(model, "encode_records", None))
-                and callable(getattr(model, "forward_pairwise", None))):
-            return model
-        return None
-
-    def _forward(self, batch: Batch, chunk: Sequence[EncodedPair]):
-        if self._late_interaction_model() is not None:
+    def _forward(self, batch: Batch):
+        if getattr(self.model, "late_interaction", False):
             return self._late_interaction_forward(batch)
-        encoder = self._memoizable_encoder()
-        if encoder is None:
-            return self.model(batch)
-        bert_out = self._assemble_encoder_output(encoder, batch, chunk)
-        real = self.model.encoder
-        self.model.encoder = _PrecomputedEncoder(bert_out)
-        try:
-            return self.model(batch)
-        finally:
-            self.model.encoder = real
+        return self.model(batch)
 
     def _late_interaction_forward(self, batch: Batch):
         """Score one batch through the record memo + pairwise head.
@@ -507,91 +456,3 @@ class InferenceEngine:
                 self._record_cache.put(key, value)
         parts = [Tensor(resolved[key]) for key in keys]
         return model.forward_pairwise(parts, batch)
-
-    def _span_output(self, ids: np.ndarray, counted: bool,
-                     pending: dict[str, np.ndarray],
-                     resolved: dict[str, np.ndarray]) -> str:
-        """Resolve or queue one span; return its cache key.
-
-        ``counted`` spans (the two record bodies) feed the hit/miss
-        stats; special-token and padding spans are cached silently.
-        ``resolved`` pins every span needed by the current batch so LRU
-        eviction mid-batch cannot drop it.
-        """
-        fp = self.model_fingerprint()
-        key = scoped_key(fp, array_digest(ids))
-        if key in resolved or key in pending:
-            if counted:
-                # Shared within this batch: the encoder work is reused
-                # even if the entry was only just queued.
-                self._output_cache.hits += 1
-                self._count_memo(fp, "span", True)
-            return key
-        value = (self._output_cache.get(key) if counted
-                 else self._output_cache.peek(key))
-        if counted:
-            self._count_memo(fp, "span", value is not None)
-        if value is not None:
-            resolved[key] = value
-        else:
-            pending[key] = ids
-        return key
-
-    def _assemble_encoder_output(self, encoder: Module, batch: Batch,
-                                 chunk: Sequence[EncodedPair]) -> BertOutput:
-        """Stitch per-record cached activations into a full batch output.
-
-        Valid because a ``position_independent`` encoder's output at each
-        position depends only on that position's token id, so a record's
-        span activations are identical whether the record is encoded
-        alone or packed into a pair.
-        """
-        pending: dict[str, np.ndarray] = {}
-        resolved: dict[str, np.ndarray] = {}
-        row_keys: list[list[tuple[str, int]]] = []
-        for e in chunk:
-            n1 = int(e.mask1.sum())
-            n2 = int(e.mask2.sum())
-            ids = e.input_ids
-            bounds = [(0, 1, False), (1, 1 + n1, True),
-                      (1 + n1, 2 + n1, False), (2 + n1, 2 + n1 + n2, True),
-                      (2 + n1 + n2, 3 + n1 + n2, False)]
-            keys = []
-            for lo, hi, counted in bounds:
-                if hi > lo:
-                    keys.append((self._span_output(ids[lo:hi], counted,
-                                                   pending, resolved), hi - lo))
-            row_keys.append(keys)
-
-        pad_key = self._span_output(np.zeros(1, dtype=np.int64), False,
-                                    pending, resolved)
-
-        if pending:
-            miss_keys = list(pending)
-            spans = [pending[k] for k in miss_keys]
-            max_len = max(len(s) for s in spans)
-            ids = np.zeros((len(spans), max_len), dtype=np.int64)
-            mask = np.zeros((len(spans), max_len), dtype=np.float32)
-            for i, span in enumerate(spans):
-                ids[i, :len(span)] = span
-                mask[i, :len(span)] = 1.0
-            out = encoder(ids, mask, np.zeros_like(ids))
-            seq = out.sequence.data
-            for i, key in enumerate(miss_keys):
-                value = seq[i, :len(spans[i])].copy()
-                resolved[key] = value
-                self._output_cache.put(key, value)
-
-        batch_size, max_len = batch.input_ids.shape
-        pad_vec = resolved[pad_key]
-        hidden = pad_vec.shape[-1]
-        sequence = np.empty((batch_size, max_len, hidden), dtype=pad_vec.dtype)
-        sequence[:] = pad_vec[0]
-        for row, keys in enumerate(row_keys):
-            cursor = 0
-            for key, length in keys:
-                sequence[row, cursor:cursor + length] = resolved[key]
-                cursor += length
-        seq_tensor = Tensor(sequence)
-        pooled = encoder.pool(seq_tensor, batch.attention_mask)
-        return BertOutput(sequence=seq_tensor, pooled=pooled, attentions=[])

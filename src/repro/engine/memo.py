@@ -1,20 +1,17 @@
 """LRU memoization primitives for the inference engine.
 
-Three cache granularities back :class:`~repro.engine.core.InferenceEngine`:
+Two cache granularities back :class:`~repro.engine.core.InferenceEngine`:
 
 - a *record token* cache mapping the content digest of a serialized
   record to its wordpiece token tuple (tokenization is pure Python and
   dominates encode cost when the same record appears in many candidate
   pairs, as blocking output does);
-- a *span encoder-output* cache mapping the digest of a record's token
-  ids to that span's encoder activations, valid only for decomposable
-  (position-independent) encoders;
 - a *record encoder-output* cache for late-interaction models (e.g.
-  :class:`~repro.models.emba_dual.EmbaDual`): each record's full
-  independent-encode token activations, reused across every pair the
-  record appears in.
+  :class:`~repro.models.emba_dual.EmbaDual`, or fastText
+  :class:`~repro.models.emba.Emba`): each record's independent-encode
+  token activations, reused across every pair the record appears in.
 
-All are plain bounded LRUs with hit/miss counters that feed
+Both are plain bounded LRUs with hit/miss counters that feed
 :class:`~repro.engine.stats.EngineStats`.
 
 Cache keys are *namespaced by encoder identity*: every key mixes in an
@@ -63,10 +60,6 @@ class LRUCache:
         self.hits += 1
         self._items.move_to_end(key)
         return value
-
-    def peek(self, key: Hashable):
-        """Return the cached value without touching the hit/miss counters."""
-        return self._items.get(key)
 
     def put(self, key: Hashable, value) -> None:
         self._items[key] = value

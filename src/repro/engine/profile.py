@@ -154,7 +154,6 @@ def render_profile(report: dict) -> str:
         f"  batches           = {stats['batches']}",
         f"  pad waste         = {stats['pad_waste_ratio']:.3f}",
         f"  encode hit rate   = {stats['encode_hit_rate']:.3f}",
-        f"  encoder hit rate  = {stats['encoder_hit_rate']:.3f}",
         f"  record hit rate   = {stats['record_hit_rate']:.3f}",
     ]
     lines.extend(_memo_lines(stats))

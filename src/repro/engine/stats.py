@@ -22,7 +22,7 @@ class EngineStats:
     identity that namespaced the cache key — in a cascade, each stage's
     encoder reports its own hit/miss counters instead of disappearing
     into an aggregate.  Keys are short encoder fingerprints; values map
-    cache names (``token``, ``span``, ``record``) to ``{hits, misses}``.
+    cache names (``token``, ``record``) to ``{hits, misses}``.
     """
 
     pairs_scored: int = 0
@@ -31,7 +31,9 @@ class EngineStats:
     real_tokens: int = 0
     encode_hits: int = 0          # record-token cache
     encode_misses: int = 0
-    encoder_hits: int = 0         # span encoder-output cache (decomposable)
+    # Nothing in the program writes encoder_hits/encoder_misses; they
+    # stay only because perfbench/tracer.py reads them from as_dict().
+    encoder_hits: int = 0
     encoder_misses: int = 0
     record_hits: int = 0          # record encoder-output cache (late interaction)
     record_misses: int = 0
@@ -49,10 +51,6 @@ class EngineStats:
     @property
     def encode_hit_rate(self) -> float:
         return _hit_rate(self.encode_hits, self.encode_misses)
-
-    @property
-    def encoder_hit_rate(self) -> float:
-        return _hit_rate(self.encoder_hits, self.encoder_misses)
 
     @property
     def record_hit_rate(self) -> float:
@@ -79,6 +77,5 @@ class EngineStats:
         payload = asdict(self)
         payload["pad_waste_ratio"] = self.pad_waste_ratio
         payload["encode_hit_rate"] = self.encode_hit_rate
-        payload["encoder_hit_rate"] = self.encoder_hit_rate
         payload["record_hit_rate"] = self.record_hit_rate
         return payload

@@ -69,7 +69,6 @@ def measure_engine_throughput(engine: "InferenceEngine",
         "seconds": result.seconds,
         "pad_waste_ratio": stats.pad_waste_ratio,
         "encode_hit_rate": stats.encode_hit_rate,
-        "encoder_hit_rate": stats.encoder_hit_rate,
         "record_hit_rate": stats.record_hit_rate,
         "batches": stats.batches,
     }
@@ -94,5 +93,5 @@ def measure_cascade_throughput(scorer, encoded: Sequence["EncodedPair"],
         "seconds": result.seconds,
         "escalate_fraction": stats.escalate_fraction,
         "cheap_record_hit_rate": stats.cheap.record_hit_rate,
-        "full_encoder_hit_rate": stats.full.encoder_hit_rate,
+        "full_record_hit_rate": stats.full.record_hit_rate,
     }

@@ -65,5 +65,5 @@ def measure_model_throughput(model_name: str, batch_size: int = 16,
         "train_pairs_per_s": train_result.items_per_second,
         "infer_pairs_per_s": infer_result["pairs_per_second"],
         "infer_pad_waste": infer_result["pad_waste_ratio"],
-        "infer_encoder_hit_rate": infer_result["encoder_hit_rate"],
+        "infer_record_hit_rate": infer_result["record_hit_rate"],
     }

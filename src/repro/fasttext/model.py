@@ -85,9 +85,11 @@ class FastTextEncoder(Module):
 
     Because each position's output depends only on that position's token
     id (no positions, no cross-token mixing), the encoder is
-    *decomposable*: ``position_independent`` lets the inference engine
-    memoize per-record span activations and stitch them into pair
-    sequences without re-running the forward.
+    *decomposable*: ``position_independent`` makes
+    :class:`~repro.models.emba.Emba` (with masked AoA) a late-interaction
+    model, so the inference engine encodes each record once, caches its
+    activations in the record memo and runs only the AoA and EM/ID heads
+    per pair.
     """
 
     position_independent = True

@@ -25,6 +25,9 @@ not just to tolerance — see ``tests/test_cascade.py``.
 Like every matcher here, the class is encoder-agnostic: a BERT preset
 gives the true dual-encoder, while a decomposable encoder (fastText)
 degenerates gracefully (its outputs never mixed tokens to begin with).
+That is also why the cross-encoder :class:`~repro.models.emba.Emba`
+subclasses this one: over fastText with masked AoA it reuses this
+record protocol at inference and keeps only its own joint ``forward``.
 """
 
 from __future__ import annotations

@@ -149,7 +149,6 @@ class MatchServer:
         self.address: tuple[str, int] | None = None
         self.weights_ref = ""
         self._started = 0.0
-        self._latencies: deque[float] = deque(maxlen=4096)
         self._counts = {"received": 0, "completed": 0, "rejected": 0,
                         "errors": 0, "batches": 0, "batched_pairs": 0,
                         "swaps": 0, "retries": 0, "worker_restarts": 0,
@@ -441,7 +440,6 @@ class MatchServer:
         by_connection: dict[int, tuple] = {}
         for pending, (prob, pred, quarantined) in zip(batch, results):
             latency = now - pending.arrival
-            self._latencies.append(latency)
             self._win_latency.observe(latency)
             if quarantined:
                 self._counts["errors"] += 1
@@ -599,16 +597,14 @@ class MatchServer:
         return response
 
     def stats(self) -> dict:
-        """Parent-side serving counters + latency percentiles."""
+        """Parent-side serving counters + latency percentiles.
+
+        Counters and ``pairs_per_s`` cover the daemon's lifetime; the
+        latency percentiles cover the trailing ``config.window_s``
+        seconds (the same histogram as the ``window`` block).
+        """
         elapsed = max(self.clock() - self._started, 1e-9)
-        latencies = sorted(self._latencies)
-
-        def percentile(q: float) -> float:
-            if not latencies:
-                return 0.0
-            index = min(len(latencies) - 1, int(q * (len(latencies) - 1)))
-            return latencies[index]
-
+        window = self.window_metrics()
         batches = self._counts["batches"]
         return {
             **self._counts,
@@ -616,10 +612,10 @@ class MatchServer:
             "pairs_per_s": self._counts["completed"] / elapsed,
             "mean_batch_size": (self._counts["batched_pairs"] / batches
                                 if batches else 0.0),
-            "latency_p50_ms": percentile(0.50) * 1e3,
-            "latency_p99_ms": percentile(0.99) * 1e3,
+            "latency_p50_ms": window["latency_p50_ms"],
+            "latency_p99_ms": window["latency_p99_ms"],
             "weights_ref": self.weights_ref,
-            "window": self.window_metrics(),
+            "window": window,
             "slo": self._slo_status(),
             "workers": [
                 {"index": ws.worker.index, "kind": ws.worker.kind,
@@ -714,9 +710,11 @@ class MatchServer:
     def final_metrics(self) -> dict:
         """Lifetime summary in the shape ``repro slo check`` audits.
 
-        Written into the run manifest when ``repro serve --record`` seals
-        the serve run (key names match :meth:`SloSpec.evaluate` with
-        ``peak_depth=True``).
+        Counts and rates cover the daemon's lifetime; the latency
+        percentiles cover the trailing ``config.window_s`` (see
+        :meth:`stats`).  Written into the run manifest when ``repro
+        serve --record`` seals the serve run (key names match
+        :meth:`SloSpec.evaluate` with ``peak_depth=True``).
         """
         stats = self.stats()
         answered = (stats["completed"] + stats["rejected"] + stats["errors"])

@@ -133,8 +133,9 @@ def check_run(manifest: dict, spec: SloSpec,
     """Post-hoc SLO audit of a recorded serve run; returns violations.
 
     Checks the run's final metrics against the spec (peak queue depth,
-    lifetime percentiles/rates) and surfaces any live ``slo_breach``
-    events the daemon logged while the run was recording.
+    lifetime rates, trailing-window latency percentiles) and surfaces any
+    live ``slo_breach`` events the daemon logged while the run was
+    recording.
     """
     metrics = manifest.get("metrics", {}) or {}
     metric_key = {rule: key for rule, key, _ in spec._rules(peak_depth=True)}

@@ -266,8 +266,8 @@ def engine_naive_parity(seed: int, count: int = 20, use_fasttext: bool = False
     The naive side collates and scores each pair individually (no
     bucketing, no padding sharing, no memoization); the engine side runs
     the full bucketed path.  With ``use_fasttext=True`` the encoder is
-    position-independent, additionally exercising the engine's memoized
-    per-record encoder cache and span re-assembly.
+    position-independent, so the engine scores ``Emba`` through the
+    late-interaction record memo and the pairwise head.
 
     Raises ``AssertionError`` on any hard prediction mismatch.
     """

@@ -123,19 +123,6 @@ class TestDualEncoderParity:
         np.testing.assert_array_equal(engine.score_pairs(pairs)["em_prob"],
                                       direct)
 
-    def test_memoize_records_off_still_bitwise(self, dual_model, encoder):
-        rng = np.random.default_rng(4)
-        pairs = _random_pairs(rng, num_pairs=11)
-        on = InferenceEngine(dual_model, encoder,
-                             EngineConfig(batch_size=4))
-        off = InferenceEngine(dual_model, encoder,
-                              EngineConfig(batch_size=4,
-                                           memoize_records=False))
-        np.testing.assert_array_equal(on.score_pairs(pairs)["em_prob"],
-                                      off.score_pairs(pairs)["em_prob"])
-        assert off.stats.record_hits == off.stats.record_misses == 0
-        assert on.stats.record_misses > 0
-
     def test_record_memo_hits_on_blocking_shape(self, dual_model, encoder):
         """Each record in many pairs => far fewer encodes than 2x pairs."""
         rng = np.random.default_rng(5)

@@ -66,8 +66,8 @@ class TestSeedDeterminism:
         # EngineStats counters: identical work performed (wall time is
         # the only legitimately nondeterministic field).
         for field in ("pairs_scored", "batches", "token_cells", "real_tokens",
-                      "encode_hits", "encode_misses", "encoder_hits",
-                      "encoder_misses"):
+                      "encode_hits", "encode_misses", "record_hits",
+                      "record_misses"):
             assert getattr(stats_a, field) == getattr(stats_b, field), field
 
     def test_different_seed_changes_predictions(self, splits):

@@ -162,22 +162,40 @@ class TestScoringEquivalence:
         np.testing.assert_array_equal(out["labels"],
                                       [p.label for p in pairs])
 
-    def test_fasttext_memoized_matches_unmemoized(self, fasttext_model, encoder):
+    @pytest.mark.parametrize("masked_aoa", [True, False])
+    def test_fasttext_memoized_matches_unmemoized(self, tokenizer, encoder,
+                                                  masked_aoa):
+        """fastText EMBA with masked AoA scores through the record memo
+        (bitwise stable cold vs warm); unmasked AoA reads special-token
+        and padding positions, so it must take the plain forward.
+
+        Buckets are padding-free: unmasked AoA lets padding leak mass
+        (the paper's negative result), so only unpadded rows can match
+        the per-pair reference.
+        """
+        ft = FastTextEncoder(tokenizer.vocab, SubwordHasher(num_buckets=256),
+                             24, np.random.default_rng(2))
+        model = Emba(ft, 24, 4, np.random.default_rng(3),
+                     masked_aoa=masked_aoa)
+        model.eval()
+        assert model.late_interaction is masked_aoa
         rng = np.random.default_rng(11)
         pairs = _random_pairs(rng, num_records=6, num_pairs=25)
-        plain = InferenceEngine(fasttext_model, encoder, EngineConfig(
-            batch_size=8, memoize_encoder=False))
-        memo = InferenceEngine(fasttext_model, encoder, EngineConfig(
-            batch_size=8, memoize_encoder=True))
-        expected = plain.score_pairs(pairs)["em_prob"]
-        got = memo.score_pairs(pairs)["em_prob"]
-        np.testing.assert_allclose(got, expected, atol=1e-6)
-        stats = memo.stats
-        assert stats.encoder_hits > 0
-        assert plain.stats.encoder_hits == plain.stats.encoder_misses == 0
-        # The memo must survive the restore: the model still owns its
-        # real encoder after scoring.
-        assert fasttext_model.encoder.position_independent
+        naive = np.concatenate([
+            model.predict(collate([encoder.encode(p)]))["em_prob"]
+            for p in pairs
+        ])
+        engine = InferenceEngine(model, encoder, EngineConfig(
+            batch_size=8, max_pad_waste=0.0))
+        cold = engine.score_pairs(pairs)["em_prob"]
+        warm = engine.score_pairs(pairs)["em_prob"]
+        np.testing.assert_allclose(cold, naive, atol=1e-6)
+        np.testing.assert_allclose(warm, naive, atol=1e-6)
+        if masked_aoa:
+            assert engine.stats.record_hits > 0
+            np.testing.assert_array_equal(cold, warm)
+        else:
+            assert engine.stats.record_hits == engine.stats.record_misses == 0
 
     def test_repeat_scoring_is_deterministic(self, fasttext_model, encoder):
         rng = np.random.default_rng(13)
@@ -227,8 +245,6 @@ class TestMemo:
         assert cache.get("b") is None
         assert cache.get("c") == 3
         assert cache.hits == 2 and cache.misses == 1
-        assert cache.peek("a") == 1
-        assert cache.hits == 2      # peek does not count
 
     def test_stats_snapshot(self, fasttext_model, encoder):
         engine = InferenceEngine(fasttext_model, encoder)

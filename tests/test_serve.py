@@ -1074,10 +1074,16 @@ class TestLiveTelemetry:
         window = server.window_metrics()
         assert window["requests"] == 1 and window["completed"] == 1
         assert window["latency_p99_ms"] == pytest.approx(50.0)
+        # stats() reads its percentiles from the same windowed histogram.
+        stats = server.stats()
+        assert stats["latency_p99_ms"] == stats["window"]["latency_p99_ms"]
+        assert stats["latency_p99_ms"] == pytest.approx(50.0)
         clock.advance(11.0)
         window = server.window_metrics()
         assert window["requests"] == 0
         assert window["latency_p99_ms"] == 0.0
+        stats = server.stats()
+        assert stats["latency_p99_ms"] == stats["window"]["latency_p99_ms"] == 0.0
 
     def test_stats_degrades_to_dead_for_killed_shard(self, dual_model,
                                                      encoder):
